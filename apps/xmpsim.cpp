@@ -79,21 +79,28 @@
 //   xmpsim verify [--faults=PLAN] [--dir=DIR] [--checkpoint-every=SIMTIME]
 //                 ... any scenario flags accepted by `run` ...
 //       Differential validation harness (DESIGN.md §15): runs the same
-//       scenario four times — serial (--shards=1), --shards=2, a
-//       checkpointed reference, and a SIGKILL-mid-run + --restore leg —
-//       each in its own sub-directory of DIR (default: a fresh temp dir,
-//       removed on success, kept and named on failure). It then requires
-//       summary.json and drops.csv to be byte-identical across ALL legs,
-//       and trace.csv/metrics.json/out.txt to be byte-identical within
-//       each engine-config pair (serial vs shards=2; checkpointed vs
-//       kill+restore) — checkpointing legitimately adds CkptWrite trace
-//       events and harness.ckpt.* meters, so those files are only compared
-//       between legs with identical checkpoint flags. Exit 0 = all legs
-//       agree, 1 = divergence (the differing file and legs are named),
-//       2 = bad flags. The harness owns --shards, --checkpoint-dir,
-//       --restore and every output path; --checkpoint-every only sets the
-//       kill leg's snapshot cadence (default 0.005). Scenario flags are
-//       validated up front with the same rules as `run` under --shards.
+//       scenario five times — serial (--shards=1), --shards=2, a
+//       checkpointed reference, a SIGKILL-mid-run + --restore leg, and
+//       an unsharded leg on the serial engine — each in its own
+//       sub-directory of DIR (default: a fresh temp dir, removed on
+//       success, kept and named on failure). It then requires
+//       summary.json and drops.csv to be byte-identical across the four
+//       sharded legs, and trace.csv/metrics.json/out.txt to be
+//       byte-identical within each engine-config pair (serial vs
+//       shards=2; checkpointed vs kill+restore) — checkpointing
+//       legitimately adds CkptWrite trace events and harness.ckpt.*
+//       meters, so those files are only compared between legs with
+//       identical checkpoint flags. The unsharded leg orders
+//       equal-timestamp ties differently, so it is not byte-compared;
+//       its drops.csv header must match the serial leg's. In every leg
+//       the drops.csv column sums must equal that leg's summary.json
+//       drops/impairments/unroutable totals. Exit 0 = all legs agree,
+//       1 = divergence (the differing file and legs, or the leg and
+//       column, are named), 2 = bad flags. The harness owns --shards,
+//       --checkpoint-dir, --restore and every output path;
+//       --checkpoint-every only sets the kill leg's snapshot cadence
+//       (default 0.005). Scenario flags are validated up front with the
+//       same rules as `run` under --shards.
 //
 //   xmpsim fluid  --capacity-gbps=1 --flows=3 [--beta=4] [--rtt-us=300]
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
@@ -145,7 +152,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,6 +163,7 @@
 #include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/job_manifest.hpp"
+#include "core/mini_json.hpp"
 #include "core/orchestrator.hpp"
 #include "core/xmp.hpp"
 #include "model/fluid.hpp"
@@ -836,6 +847,69 @@ bool read_all(const std::string& path, std::string& out) {
   return ok;
 }
 
+/// The comma-separated fields of one drops.csv line (no field is quoted).
+std::vector<std::string> csv_fields(const std::string& line) {
+  std::vector<std::string> out;
+  std::istringstream in{line};
+  for (std::string field; std::getline(in, field, ',');) out.push_back(field);
+  return out;
+}
+
+/// Intra-leg check: the column sums of a leg's drops.csv must equal its own
+/// summary.json totals — link rows against drops/impairments, and every
+/// row's drops_unroutable (the switch rows) against drops.unroutable.
+/// Returns "" or one line naming the leg and the column.
+std::string check_leg_totals(const std::string& dir, const std::string& leg) {
+  static constexpr struct {
+    const char* column;
+    const char* section;
+    const char* key;
+  } kTotals[] = {
+      {"offered", "drops", "offered"},
+      {"delivered", "drops", "delivered"},
+      {"drops_queue", "drops", "queue"},
+      {"drops_admin_down", "drops", "admin_down"},
+      {"drops_fault", "drops", "fault"},
+      {"drops_corrupt", "drops", "corrupt"},
+      {"drops_unroutable", "drops", "unroutable"},
+      {"duplicated", "impairments", "duplicated"},
+      {"delayed", "impairments", "delayed"},
+      {"overmarked", "impairments", "overmarked"},
+  };
+  const std::string where = "leg " + leg + ": ";
+  try {
+    core::json::JsonValue summary;
+    std::string err;
+    if (!core::json::parse_file(dir + "/summary.json", summary, &err)) return where + err;
+    std::ifstream in{dir + "/drops.csv"};
+    std::string line;
+    if (!std::getline(in, line)) return where + "drops.csv unreadable";
+    const std::vector<std::string> header = csv_fields(line);
+    std::vector<std::uint64_t> sums(header.size(), 0);
+    while (std::getline(in, line)) {
+      const std::vector<std::string> row = csv_fields(line);
+      if (row.size() != header.size()) return where + "drops.csv row width differs from header";
+      const bool switch_row = row.front().rfind("sw", 0) == 0;
+      for (std::size_t c = 1; c < row.size(); ++c) {
+        if (!switch_row || header[c] == "drops_unroutable") sums[c] += std::stoull(row[c]);
+      }
+    }
+    for (const auto& t : kTotals) {
+      std::size_t c = 0;
+      while (c < header.size() && header[c] != t.column) ++c;
+      if (c == header.size()) return where + "drops.csv has no column " + t.column;
+      const auto want = static_cast<std::uint64_t>(summary.at(t.section).at(t.key).number);
+      if (sums[c] != want) {
+        return where + "drops.csv column " + t.column + " sums to " + std::to_string(sums[c]) +
+               ", summary.json " + t.section + "." + t.key + " is " + std::to_string(want);
+      }
+    }
+  } catch (const std::exception& e) {
+    return where + e.what();
+  }
+  return {};
+}
+
 int cmd_verify(const Args& args) {
   namespace fs = std::filesystem;
   bool ok = true;
@@ -918,6 +992,9 @@ int cmd_verify(const Args& args) {
   };
 
   const std::string ckpt_every = "--checkpoint-every=" + every;
+  // The unsharded leg runs the serial engine. It is never byte-compared:
+  // its equal-timestamp tie order legitimately differs from the sharded
+  // engine's (DESIGN.md §11). It must pass the intra-leg check below.
   const struct {
     const char* name;
     std::vector<std::string> extra;
@@ -925,12 +1002,14 @@ int cmd_verify(const Args& args) {
       {"serial", {"--shards=1"}},
       {"shards2", {"--shards=2"}},
       {"ckpt", {"--shards=1", ckpt_every, "--checkpoint-dir=."}},
+      {"unsharded", {}},
   };
   for (const auto& leg : straight) {
     const std::string dir = leg_dir(leg.name);
     std::error_code ec;
     fs::create_directories(dir, ec);
-    std::printf("verify: leg %-7s %s\n", leg.name, leg.extra.front().c_str());
+    std::printf("verify: leg %-9s %s\n", leg.name,
+                leg.extra.empty() ? "serial engine (no --shards)" : leg.extra.front().c_str());
     const pid_t pid = spawn_leg(dir, make_flags(leg.extra));
     if (pid < 0) return fail("fork failed");
     const int rc = wait_leg(pid);
@@ -947,7 +1026,7 @@ int cmd_verify(const Args& args) {
     const std::string dir = leg_dir("kill");
     std::error_code ec;
     fs::create_directories(dir, ec);
-    std::printf("verify: leg kill    --shards=1 + SIGKILL mid-run + --restore\n");
+    std::printf("verify: leg kill      --shards=1 + SIGKILL mid-run + --restore\n");
     const std::vector<std::string> base = {"--shards=1", ckpt_every, "--checkpoint-dir=."};
     const pid_t pid = spawn_leg(dir, make_flags(base));
     if (pid < 0) return fail("fork failed");
@@ -1016,9 +1095,24 @@ int cmd_verify(const Args& args) {
     const std::string err = compare(c.a, c.b, c.file);
     if (!err.empty()) return fail(err);
   }
+  // Every leg's files agree with each other, whichever engine wrote them.
+  for (const char* leg : {"serial", "shards2", "ckpt", "kill", "unsharded"}) {
+    const std::string err = check_leg_totals(leg_dir(leg), leg);
+    if (!err.empty()) return fail(err);
+  }
+  {
+    std::string a;
+    std::string b;
+    read_all(leg_dir("serial") + "/drops.csv", a);
+    read_all(leg_dir("unsharded") + "/drops.csv", b);
+    if (a.substr(0, a.find('\n')) != b.substr(0, b.find('\n'))) {
+      return fail("drops.csv header differs between legs serial and unsharded");
+    }
+  }
 
-  std::printf("verify: PASS — serial, shards=2, checkpointed and kill+restore legs agree "
-              "byte for byte\n");
+  std::printf("verify: PASS — five legs: serial, shards=2, checkpointed and kill+restore agree "
+              "byte for byte; every leg, unsharded included, reconciles drops.csv with "
+              "summary.json\n");
   if (ephemeral) {
     std::error_code ec;
     fs::remove_all(root, ec);

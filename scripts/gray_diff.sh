@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Gray-failure differential validation (DESIGN.md §15): drive the
 # `xmpsim verify` harness over a plan that exercises every gray fault kind
-# (degrade, delay, reorder, duplicate, overmark), require all four legs —
-# serial (--shards=1), --shards=2, checkpointed, SIGKILL + --restore — to
-# agree byte for byte, and pin the CLI contracts around the fault layer:
-# a healthy (fault-free) verify must also pass, a plan mixing gray kinds
-# with hard faults (down/loss/corrupt) must verify, and the one-line
-# exit-2 rejects (--hybrid with --faults, verify-owned flags) must hold.
+# (degrade, delay, reorder, duplicate, overmark), require the sharded
+# legs — serial (--shards=1), --shards=2, checkpointed, SIGKILL +
+# --restore — to agree byte for byte and every leg, the unsharded serial
+# engine included, to reconcile drops.csv with its summary, and pin the
+# CLI contracts around the fault layer: a healthy (fault-free) verify
+# must also pass, a plan mixing gray kinds with hard faults
+# (down/loss/corrupt) must verify, and the one-line exit-2 rejects
+# (--hybrid with --faults, verify-owned flags) must hold.
 #
 #   scripts/gray_diff.sh [build-dir]   # default: build
 set -euo pipefail

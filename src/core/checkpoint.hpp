@@ -33,7 +33,7 @@ struct ExperimentConfig;
 
 namespace xmp::core::ckpt {
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Bytes before the payload: magic + version + fingerprint + t_ns + seq +
 /// prev_written + prev_bytes + payload size + crc32. A checkpoint file is

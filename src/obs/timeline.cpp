@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "core/checkpoint.hpp"
 #include "trace/writers.hpp"
 
 namespace xmp::obs {
@@ -531,6 +532,38 @@ void TimelineTracer::export_chrome_json(const std::string& path) const {
 
   json.end_array();
   json.end_object();
+}
+
+void TimelineTracer::save_state(core::ckpt::Saver& s) const {
+  s.u64(size());
+  for_each([&](const TimelineEvent& e) {
+    s.i64(e.t_ns);
+    s.f64(e.a);
+    s.f64(e.b);
+    s.u32(e.id);
+    s.u8(static_cast<std::uint8_t>(e.kind));
+    s.u8(e.subflow);
+    s.u16(e.aux);
+  });
+  s.u64(dropped());
+}
+
+void TimelineTracer::restore_state(core::ckpt::Loader& l) {
+  const std::uint64_t n = l.u64();
+  std::vector<TimelineEvent> events;
+  for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
+    TimelineEvent e;
+    e.t_ns = l.i64();
+    e.a = l.f64();
+    e.b = l.f64();
+    e.id = l.u32();
+    e.kind = static_cast<EventKind>(l.u8());
+    e.subflow = l.u8();
+    e.aux = l.u16();
+    events.push_back(e);
+  }
+  const std::uint64_t dropped = l.u64();
+  if (l.ok()) restore_snapshot(events, dropped);
 }
 
 std::unique_ptr<TimelineTracer> TimelineTracer::merged(

@@ -8,6 +8,11 @@
 
 #include "sim/time.hpp"
 
+namespace xmp::core::ckpt {
+class Saver;
+class Loader;
+}  // namespace xmp::core::ckpt
+
 namespace xmp::obs {
 
 /// What one timeline event describes. Every kind belongs to exactly one
@@ -263,6 +268,11 @@ class TimelineTracer {
     count_ = keep;
     head_ = keep % cfg_.capacity;
   }
+
+  /// Checkpoint the retained events (oldest first) and the overwrite count.
+  void save_state(core::ckpt::Saver& s) const;
+  /// Consume one save_state() section and restore_snapshot() it.
+  void restore_state(core::ckpt::Loader& l);
 
   // --- export ---
   /// Flat CSV: t_ns,kind,id,subflow,aux,a,b — one row per event.

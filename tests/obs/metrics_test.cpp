@@ -10,7 +10,7 @@
 
 #include "obs/hooks.hpp"
 #include "obs/timeline.hpp"
-#include "util/mini_json.hpp"
+#include "core/mini_json.hpp"
 
 namespace xmp::obs {
 namespace {
@@ -137,7 +137,7 @@ TEST(MetricsRegistry, DumpIsValidSortedJson) {
   TempFile f{"registry.json"};
   reg.dump_to_file(f.path);
 
-  const auto root = test::MiniJsonParser::parse(slurp(f.path));
+  const auto root = core::json::MiniJsonParser::parse(slurp(f.path));
   ASSERT_TRUE(root.is_object());
   const auto& counters = root.at("counters");
   EXPECT_EQ(counters.at("a_count").number, 1.0);
